@@ -246,7 +246,7 @@ func runShard(ctx context.Context, args []string, out io.Writer) error {
 	var art *shard.Artifact
 	var counters shard.Counters
 	if *partials != "" {
-		art, counters, err = shard.RunResumableStop(ctx, &m, *shardID, *workers, *partials, rule, nil)
+		art, counters, err = shard.RunResumable(ctx, &m, *shardID, *workers, *partials, rule)
 	} else {
 		art, err = shard.Run(ctx, &m, *shardID, *workers)
 	}
@@ -352,35 +352,21 @@ func runDispatch(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	desc := fmt.Sprintf("%d artifacts", len(arts))
+	var merged *shard.AnytimeMerged
 	if rule.Enabled() {
 		// Stopped shards carry truncated trial ranges, so the strict
 		// tiling merge does not apply: fold through the anytime path,
 		// which re-derives the canonical stopping boundary.
-		sw, pts, err := shard.CollectPartial(arts, nil)
-		if err != nil {
-			return err
-		}
-		merged, err := shard.MergePartial(sw, pts, rule)
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*outPath, merged); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "merged %d artifacts (stop rule applied) -> %s\n", len(arts), *outPath)
-		printAnytimeTable(out, merged)
-		return nil
+		merged, err = mergeAnytime(arts, nil, rule)
+		desc += " (stop rule applied)"
+	} else {
+		merged, err = shard.Merge(arts)
 	}
-	merged, err := shard.Merge(arts)
 	if err != nil {
 		return err
 	}
-	if err := writeJSON(*outPath, merged); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "merged %d artifacts -> %s\n", len(arts), *outPath)
-	printMergedTable(out, merged)
-	return nil
+	return writeMerged(out, *outPath, desc, merged)
 }
 
 func runMerge(args []string, out io.Writer) error {
@@ -406,20 +392,11 @@ func runMerge(args []string, out io.Writer) error {
 		return err
 	}
 	if *partial {
-		sw, pts, err := shard.CollectPartial(arts, cells)
+		merged, err := mergeAnytime(arts, cells, rule)
 		if err != nil {
 			return err
 		}
-		merged, err := shard.MergePartial(sw, pts, rule)
-		if err != nil {
-			return err
-		}
-		if err := writeJSON(*outPath, merged); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "merged %d artifacts + %d cells (anytime) -> %s\n", len(arts), len(cells), *outPath)
-		printAnytimeTable(out, merged)
-		return nil
+		return writeMerged(out, *outPath, fmt.Sprintf("%d artifacts + %d cells (anytime)", len(arts), len(cells)), merged)
 	}
 	if len(cells) > 0 {
 		return fmt.Errorf("merge: %d cell partials among the inputs; cell-granularity inputs need -partial", len(cells))
@@ -430,11 +407,27 @@ func runMerge(args []string, out io.Writer) error {
 		// stopped inputs are the anytime merge's job.
 		return fmt.Errorf("%w (for a subset of a sweep, retry with -partial)", err)
 	}
-	if err := writeJSON(*outPath, merged); err != nil {
+	return writeMerged(out, *outPath, fmt.Sprintf("%d artifacts", len(arts)), merged)
+}
+
+// mergeAnytime is the anytime fold over any mix of shard artifacts
+// and cell partials.
+func mergeAnytime(arts []*shard.Artifact, cells []*shard.CellArtifact, rule sim.StopRule) (*shard.AnytimeMerged, error) {
+	sw, pts, err := shard.CollectPartial(arts, cells)
+	if err != nil {
+		return nil, err
+	}
+	return shard.MergePartial(sw, pts, rule)
+}
+
+// writeMerged is the shared tail of merge and dispatch -o: write the
+// merged document, say what went into it, and print its table.
+func writeMerged(out io.Writer, path, desc string, merged *shard.AnytimeMerged) error {
+	if err := writeJSON(path, merged); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "merged %d artifacts -> %s\n", len(arts), *outPath)
-	printMergedTable(out, merged)
+	fmt.Fprintf(out, "merged %s -> %s\n", desc, path)
+	printAnytimeTable(out, merged)
 	return nil
 }
 
@@ -512,21 +505,17 @@ func runStatus(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "status: nothing computed yet in %s (0 of %d planned trials)\n", *dir, m.Sweep.Trials*len(m.Sweep.Sizes))
 		return nil
 	}
-	sw, pts, err := shard.CollectPartial(arts, cells)
+	merged, err := mergeAnytime(arts, cells, rule)
 	if err != nil {
 		return err
 	}
-	if !reflect.DeepEqual(sw, m.Sweep) {
+	if !reflect.DeepEqual(merged.Sweep, m.Sweep) {
 		return fmt.Errorf("status: artifacts in %s belong to a different sweep than %s", *dir, *planPath)
-	}
-	merged, err := shard.MergePartial(sw, pts, rule)
-	if err != nil {
-		return err
 	}
 	done, planned := 0, 0
 	for _, pt := range merged.Points {
 		done += pt.Stats.Trials
-		planned += sw.Trials
+		planned += merged.Sweep.Trials
 	}
 	fmt.Fprintf(out, "status: %d artifacts + %d cells, %d of %d trials folded (%.0f%%)\n",
 		len(arts), len(cells), done, planned, 100*float64(done)/float64(planned))
@@ -534,8 +523,8 @@ func runStatus(args []string, out io.Writer) error {
 	return nil
 }
 
-// printAnytimeTable is printMergedTable plus completeness: trials done
-// against planned and whether the stop rule fired for each size.
+// printAnytimeTable renders a merged document per size: trials done
+// against planned, whether the stop rule fired, and the statistics.
 func printAnytimeTable(out io.Writer, merged *shard.AnytimeMerged) {
 	fmt.Fprintf(out, "%10s %8s %8s %8s %10s %8s %14s %14s\n",
 		"x", "done", "planned", "stopped", "converged", "correct", "mean steps", "±95% CI")
@@ -551,16 +540,6 @@ func printAnytimeTable(out io.Writer, merged *shard.AnytimeMerged) {
 		}
 		fmt.Fprintf(out, "%10d %8d %8d %8s %10d %8d %14.1f %14.1f\n",
 			pt.X, done, planned, stoppedMark, st.Converged, st.Correct, st.MeanSteps(), st.HalfCI95Steps())
-	}
-}
-
-func printMergedTable(out io.Writer, merged *shard.Merged) {
-	fmt.Fprintf(out, "%10s %8s %10s %8s %14s %14s\n",
-		"x", "trials", "converged", "correct", "mean steps", "±95% CI")
-	for _, pt := range merged.Points {
-		st := &pt.Stats
-		fmt.Fprintf(out, "%10d %8d %10d %8d %14.1f %14.1f\n",
-			pt.X, st.Trials, st.Converged, st.Correct, st.MeanSteps(), st.HalfCI95Steps())
 	}
 }
 

@@ -64,7 +64,7 @@ func TestPlanRunMergeRoundTrip(t *testing.T) {
 		t.Errorf("2-shard merge differs from unsharded merge:\n%s\nvs\n%s", sharded, single)
 	}
 
-	var merged shard.Merged
+	var merged shard.AnytimeMerged
 	if err := json.Unmarshal(sharded, &merged); err != nil {
 		t.Fatalf("merged document: %v", err)
 	}

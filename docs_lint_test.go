@@ -18,8 +18,8 @@ import (
 func TestPackageDocsStateInvariants(t *testing.T) {
 	requirements := map[string][]string{
 		// The seed contract and accumulator mergeability (PRs 1–3), plus
-		// the anytime layer: streaming sinks and sequential stopping (PR 10).
-		"internal/sim": {"positional", "mergeable", "DeriveSeed", "associative", "CellSink", "StopRule", "sequential stopping"},
+		// the anytime layer's sequential stopping.
+		"internal/sim": {"positional", "mergeable", "DeriveSeed", "associative", "StopRule", "sequential stopping"},
 		// The sharding exactness contract and the dispatch layer (PRs 3, 5),
 		// plus the integrity/liveness hardening (PR 7) and the anytime
 		// merge/stopping contract (PR 10): prefix-valid partial merges,

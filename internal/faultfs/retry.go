@@ -18,10 +18,11 @@ var ErrRetryExhausted = errors.New("faultfs: I/O failed after retries")
 // Retrier is the bounded-retry policy over the Transient taxonomy:
 // transient errors are absorbed with exponential backoff plus full
 // jitter up to the attempt budget, permanent errors return
-// immediately. It is the PR 7 shard-queue idiom promoted next to the
-// seam it keys on, so every consumer of the FS interface shares one
-// policy shape. A Retrier is not safe for concurrent use; give each
-// goroutine its own (the jitter state is a bare splitmix64 cursor).
+// immediately. It lives next to the seam it keys on and is the one
+// retry policy of the repo: the serve store and the shard queue both
+// run their I/O through it. A Retrier is not safe for concurrent use;
+// give each goroutine its own (the jitter state is a bare splitmix64
+// cursor).
 type Retrier struct {
 	// Attempts is the total number of tries per operation (minimum 1;
 	// 0 means the default 5).
@@ -54,7 +55,7 @@ func (r *Retrier) base() time.Duration {
 }
 
 // jitter draws a full-jitter delay: uniform in [0, d), floored at 1ms
-// so exhausted-entropy draws cannot busy-spin.
+// so exhausted-entropy draws cannot busy-spin. d must be positive.
 func (r *Retrier) jitter(d time.Duration) time.Duration {
 	if r.rng == 0 {
 		r.rng = r.Seed | 1
@@ -64,6 +65,22 @@ func (r *Retrier) jitter(d time.Duration) time.Duration {
 		j = time.Millisecond
 	}
 	return j
+}
+
+// Sleep waits a full-jitter delay drawn from [0, window) — the backoff
+// step Do takes between attempts, exported for callers that back off
+// on something other than an error (an idle queue poll) — or until
+// ctx is cancelled, returning the context's error. window must be
+// positive.
+func (r *Retrier) Sleep(ctx context.Context, window time.Duration) error {
+	t := time.NewTimer(r.jitter(window))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // Do runs f, absorbing transient errors (Transient) with exponential
@@ -85,12 +102,8 @@ func (r *Retrier) Do(ctx context.Context, op string, f func() error) error {
 		if r.Count != nil {
 			r.Count.Add(1)
 		}
-		t := time.NewTimer(r.jitter(delay))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
+		if err := r.Sleep(ctx, delay); err != nil {
+			return err
 		}
 		if delay < cap {
 			delay *= 2

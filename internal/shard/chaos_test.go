@@ -72,14 +72,14 @@ func TestResumeTornCellWrite(t *testing.T) {
 	})
 	env := newQueueEnv(faulty, 0, 0, &c1)
 	// The tear is silent: this run believes it persisted every cell.
-	if _, err := runResumable(context.Background(), m, "s000", 0, dir, 0, env, sim.StopRule{}, nil); err != nil {
+	if _, err := runResumable(context.Background(), m, "s000", 0, dir, 0, env, sim.StopRule{}); err != nil {
 		t.Fatalf("torn write must be silent at write time: %v", err)
 	}
 	if len(faulty.Fired()) != 1 {
 		t.Fatalf("tear did not fire: %v", faulty.Fired())
 	}
 	// The resume catches it: quarantine, recompute, identical output.
-	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir, sim.StopRule{})
 	if err != nil {
 		t.Fatalf("resume over torn cell: %v", err)
 	}

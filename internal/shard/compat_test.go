@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // The backward-compatibility pin: artifacts written by the
@@ -31,7 +33,7 @@ func TestLegacyCellPartialResumes(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, cellFileName(cell)), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir, sim.StopRule{})
 	if err != nil {
 		t.Fatalf("resume over pre-checksum partial: %v", err)
 	}

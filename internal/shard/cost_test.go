@@ -135,7 +135,7 @@ func TestPlanCostStampsModel(t *testing.T) {
 // shard boundaries move, the merged document must not.
 func TestPlanCostMergeMatchesPlan(t *testing.T) {
 	sw := testSpec()
-	runPlan := func(m *Manifest) *Merged {
+	runPlan := func(m *Manifest) *AnytimeMerged {
 		t.Helper()
 		arts := make([]*Artifact, 0, len(m.Shards))
 		for _, spec := range m.Shards {

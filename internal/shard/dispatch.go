@@ -112,10 +112,6 @@ type DispatchOptions struct {
 	// skip is an optimization only — MergePartial truncates at the same
 	// canonical boundary either way.
 	Stop sim.StopRule
-	// Sink, when non-nil, receives every cell this process contributes
-	// (loaded or computed) the moment it lands, for streaming
-	// consumers.
-	Sink sim.CellSink
 }
 
 func (o DispatchOptions) withDefaults() DispatchOptions {
@@ -296,7 +292,7 @@ func Dispatch(ctx context.Context, m *Manifest, opts DispatchOptions) (*Dispatch
 		if idle < 30 {
 			idle++
 		}
-		if err := sleepCtx(ctx, env.jitter(window)); err != nil {
+		if err := env.retrier.Sleep(ctx, window); err != nil {
 			return res, err
 		}
 	}
@@ -374,10 +370,7 @@ func (d *dispatcher) doneVerified(ctx context.Context, shardID string) (bool, er
 		derr = &corruptError{reason: fmt.Sprintf("%s: artifact is for shard %q", path, a.Shard.ID)}
 	}
 	if errors.As(derr, &corrupt) {
-		if qerr := d.env.quarantine(ctx, path, corrupt.reason); qerr != nil {
-			return false, qerr
-		}
-		return false, nil
+		return false, d.env.quarantine(ctx, path, corrupt.reason)
 	}
 	if derr != nil {
 		return false, derr
@@ -485,15 +478,14 @@ func (d *dispatcher) tryAcquire(ctx context.Context, shardID string) (Lease, lea
 func (d *dispatcher) runShard(ctx context.Context, shardID string, lease Lease) error {
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d.heartbeat(shardCtx, stop, shardID, lease, cancel)
+		d.heartbeat(shardCtx, shardID, lease, cancel)
 	}()
-	art, err := runResumable(shardCtx, d.m, shardID, d.opts.Workers, PartialsDir(d.opts.Dir), d.opts.FailAfterCells, d.env, d.opts.Stop, d.opts.Sink)
-	close(stop)
+	art, err := runResumable(shardCtx, d.m, shardID, d.opts.Workers, PartialsDir(d.opts.Dir), d.opts.FailAfterCells, d.env, d.opts.Stop)
+	cancel() // ends the heartbeat; the artifact write below uses ctx
 	wg.Wait()
 	if err != nil {
 		return err
@@ -505,21 +497,20 @@ func (d *dispatcher) runShard(ctx context.Context, shardID string, lease Lease) 
 	return nil
 }
 
-// heartbeat refreshes the lease every Heartbeat period, incrementing
-// the monotonic Seq that scanners watch for liveness (the wall-clock
-// stamp is refreshed too, for operators). If the lease no longer
+// heartbeat refreshes the lease every Heartbeat period until ctx
+// ends, incrementing the monotonic Seq that scanners watch for
+// liveness (the wall-clock stamp is refreshed too, for operators).
+// If the lease no longer
 // carries our token — a peer presumed us dead and stole the shard —
 // the in-flight execution is cancelled: the thief owns the shard now,
 // and idempotent artifacts make our partial progress its head start
 // rather than a hazard.
-func (d *dispatcher) heartbeat(ctx context.Context, stop <-chan struct{}, shardID string, lease Lease, cancel context.CancelFunc) {
+func (d *dispatcher) heartbeat(ctx context.Context, shardID string, lease Lease, cancel context.CancelFunc) {
 	path := LeasePath(d.opts.Dir, shardID)
 	ticker := time.NewTicker(d.opts.Heartbeat)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
-			return
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
@@ -603,12 +594,6 @@ func (d *dispatcher) linkNew(ctx context.Context, path string, lease *Lease) (cr
 		return false, err
 	}
 	return created, nil
-}
-
-// fileExists is a test/CLI convenience over the real filesystem.
-func fileExists(path string) bool {
-	_, err := faultfs.OS().Stat(path)
-	return err == nil
 }
 
 func newToken() string {

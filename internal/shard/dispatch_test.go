@@ -9,7 +9,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/faultfs"
+	"repro/internal/sim"
 )
+
+// fileExists reports whether path exists on the real filesystem.
+func fileExists(path string) bool {
+	_, err := faultfs.OS().Stat(path)
+	return err == nil
+}
 
 // dispatchSpec is the property-test workload: skewed cell costs (the
 // x=16 cells dominate under LinearCost) in a 3-shard cost-weighted
@@ -23,24 +32,32 @@ func dispatchPlan(t *testing.T) *Manifest {
 	return m
 }
 
-// baselineMergedBytes renders the single-process sweep result through
-// the merge path: the byte-level ground truth every dispatch
-// interleaving must reproduce.
+// baselineMergedBytes renders the single-process sim.Sweep result over
+// sw as the merged-document schema {schema, sweep, points}. It never
+// touches the shard pipeline, so it is an independent byte-level
+// ground truth that every merge path and dispatch interleaving must
+// reproduce.
 func baselineMergedBytes(t *testing.T, sw SweepSpec) []byte {
 	t.Helper()
-	m, err := Plan(sw, 1)
+	p, n, err := sw.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := Run(context.Background(), m, "s000", 0)
+	opts, err := sw.Options(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := Merge([]*Artifact{art})
+	whole, err := sim.Sweep(context.Background(), p, sw.InputState, sw.Sizes,
+		func(x int64) bool { return x >= n }, sw.Trials, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.MarshalIndent(merged, "", "  ")
+	doc := struct {
+		Schema int              `json:"schema"`
+		Sweep  SweepSpec        `json:"sweep"`
+		Points []sim.SweepPoint `json:"points"`
+	}{ArtifactSchema, sw, whole}
+	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,13 +48,13 @@ func (a *Artifact) setChecksum(s string)      { a.Checksum = s }
 func (ca *CellArtifact) setChecksum(s string) { ca.Checksum = s }
 func (l *Lease) setChecksum(s string)         { l.Checksum = s }
 
-// sealJSON marshals v with its content checksum stamped in: the sum
-// is computed with the checksum field cleared, then embedded, and the
-// final document re-marshaled (indented, trailing newline — the
-// repo-wide artifact convention).
-func sealJSON(v sealable) ([]byte, error) {
+// seal stamps v's content checksum and marshals it with marshal: the
+// sum is computed with the checksum field cleared, then embedded. The
+// sum is over the canonical form, so every layout of the same
+// document verifies against it.
+func seal(v sealable, marshal func(any) ([]byte, error)) ([]byte, error) {
 	v.setChecksum("")
-	data, err := json.MarshalIndent(v, "", "  ")
+	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,13 @@ func sealJSON(v sealable) ([]byte, error) {
 		return nil, err
 	}
 	v.setChecksum(sum)
-	data, err = json.MarshalIndent(v, "", "  ")
+	return marshal(v)
+}
+
+// sealJSON seals v as an indented document with a trailing newline,
+// the repo-wide artifact convention.
+func sealJSON(v sealable) ([]byte, error) {
+	data, err := seal(v, func(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") })
 	if err != nil {
 		return nil, err
 	}
@@ -140,15 +146,6 @@ type Counters struct {
 	CellsStopped int `json:"cells_stopped,omitempty"`
 }
 
-func (c *Counters) add(o Counters) {
-	c.Steals += o.Steals
-	c.Retries += o.Retries
-	c.Quarantined += o.Quarantined
-	c.CellsLoaded += o.CellsLoaded
-	c.CellsComputed += o.CellsComputed
-	c.CellsStopped += o.CellsStopped
-}
-
 // String renders the counters the way ppsweep prints them on exit.
 func (c Counters) String() string {
 	s := fmt.Sprintf("steals %d, transient retries %d, quarantined %d, cells %d computed / %d resumed",
@@ -168,11 +165,7 @@ func ReadArtifact(path string) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := decodeArtifact(data, path)
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	return decodeArtifact(data, path)
 }
 
 // decodeArtifact parses and integrity-checks one shard artifact

@@ -1,110 +1,59 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 
 	"repro/internal/sim"
 )
 
-// Merged is the fan-in result: exactly the []SweepPoint a
-// single-process sim.Sweep over the same spec would have produced,
-// point for point and bit for bit. It deliberately carries no host
-// metadata — the merged document is a pure function of the sweep spec,
-// so two merges of differently-sharded runs are byte-identical.
-type Merged struct {
-	Schema int              `json:"schema"`
-	Sweep  SweepSpec        `json:"sweep"`
-	Points []sim.SweepPoint `json:"points"`
-}
-
-// Merge folds partial artifacts into the single-process sweep result.
-// It verifies that every artifact carries a known schema version and
-// the same sweep spec, and that for every size the partial trial
-// ranges tile [0, Trials) exactly — overlapping shards (a shard run
-// twice, or two plans mixed) and missing shards are reported by size
-// and range rather than silently mis-aggregated.
-func Merge(arts []*Artifact) (*Merged, error) {
-	if len(arts) == 0 {
-		return nil, errors.New("shard: nothing to merge")
+// Merge is the strict fan-in: the anytime fold (CollectPartial +
+// MergePartial, no stop rule) plus a complete-tiling check. Every
+// artifact must carry a known schema version and the same sweep spec,
+// and for every size the partial trial ranges must tile [0, Trials)
+// exactly — overlapping shards (a shard run twice, or two plans
+// mixed), duplicated artifacts and missing shards are reported by
+// size and range rather than silently mis-aggregated. Because every
+// point is then complete, the document marshals exactly like the
+// single-process sim.Sweep result {schema, sweep, points}, point for
+// point and bit for bit. It deliberately carries no host metadata —
+// the merged document is a pure function of the sweep spec, so two
+// merges of differently-sharded runs are byte-identical.
+func Merge(arts []*Artifact) (*AnytimeMerged, error) {
+	sw, pts, err := CollectPartial(arts, nil)
+	if err != nil {
+		return nil, err
 	}
-	for i, a := range arts {
-		if a.Schema != ArtifactSchema {
-			return nil, fmt.Errorf("shard: artifact %d (shard %q) has schema %d, this build understands %d",
-				i, a.Shard.ID, a.Schema, ArtifactSchema)
-		}
-		if !reflect.DeepEqual(a.Sweep, arts[0].Sweep) {
-			return nil, fmt.Errorf("shard: artifact %d (shard %q) belongs to a different sweep: %+v vs %+v",
-				i, a.Shard.ID, a.Sweep, arts[0].Sweep)
-		}
-	}
-	sw := arts[0].Sweep
 	if err := sw.Validate(); err != nil {
 		return nil, err
 	}
-	byX := make(map[int64][]PartialPoint)
-	for _, a := range arts {
-		for _, pt := range a.Points {
-			// An internally inconsistent point (a worker that died after
-			// writing partial accumulators, a hand-edited file) would pass
-			// the range tiling below while under-counting trials.
-			if pt.Stats.Trials != pt.TrialHi-pt.TrialLo {
-				return nil, fmt.Errorf("shard: artifact %q size %d claims trials [%d,%d) but its stats aggregate %d trials",
-					a.Shard.ID, pt.X, pt.TrialLo, pt.TrialHi, pt.Stats.Trials)
-			}
-			byX[pt.X] = append(byX[pt.X], pt)
-		}
+	byX := make(map[int64][]Cell)
+	for _, pt := range pts {
+		byX[pt.X] = append(byX[pt.X], Cell{X: pt.X, TrialLo: pt.TrialLo, TrialHi: pt.TrialHi})
 	}
-	for x := range byX {
-		found := false
-		for _, want := range sw.Sizes {
-			if x == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("shard: partial results for size %d, which the sweep does not contain", x)
-		}
-	}
-	out := &Merged{Schema: ArtifactSchema, Sweep: sw, Points: make([]sim.SweepPoint, 0, len(sw.Sizes))}
 	for _, x := range sw.Sizes {
-		parts := byX[x]
-		cells := make([]Cell, len(parts))
-		for i, pt := range parts {
-			cells[i] = Cell{X: x, TrialLo: pt.TrialLo, TrialHi: pt.TrialHi}
-		}
-		if err := checkTiling(x, cells, sw.Trials); err != nil {
+		if err := checkTiling(x, byX[x], sw.Trials); err != nil {
 			return nil, err
 		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i].TrialLo < parts[j].TrialLo })
-		var stats sim.Stats
-		for _, pt := range parts {
-			stats.Merge(pt.Stats)
-		}
-		out.Points = append(out.Points, sim.SweepPoint{X: x, Stats: stats})
 	}
-	return out, nil
+	return MergePartial(sw, pts, sim.StopRule{})
 }
 
 // checkTiling verifies that the cells' trial ranges partition
 // [0, trials) exactly: no overlap, no gap, no out-of-bounds range.
+// It sorts cells in place.
 func checkTiling(x int64, cells []Cell, trials int) error {
 	if len(cells) == 0 {
 		return fmt.Errorf("shard: size %d has no partial results", x)
 	}
-	sorted := make([]Cell, len(cells))
-	copy(sorted, cells)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].TrialLo != sorted[j].TrialLo {
-			return sorted[i].TrialLo < sorted[j].TrialLo
+	sort.Slice(cells, func(i, j int) bool {
+		if cells[i].TrialLo != cells[j].TrialLo {
+			return cells[i].TrialLo < cells[j].TrialLo
 		}
-		return sorted[i].TrialHi < sorted[j].TrialHi
+		return cells[i].TrialHi < cells[j].TrialHi
 	})
 	next := 0
-	for _, c := range sorted {
+	for _, c := range cells {
 		if c.TrialLo < 0 || c.TrialHi > trials || c.TrialLo >= c.TrialHi {
 			return fmt.Errorf("shard: size %d has invalid trial range [%d,%d) of %d trials",
 				x, c.TrialLo, c.TrialHi, trials)

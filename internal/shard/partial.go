@@ -19,7 +19,8 @@ import (
 // every planned trial is folded and whose stop rule did not fire, the
 // metadata fields are all omitted, so the point marshals byte-for-byte
 // like a plain sim.SweepPoint — that is what makes the full-completion
-// invariant (MergePartial over all cells == Merge, bytes) hold.
+// invariant (MergePartial over all cells == the single-process Sweep
+// document, bytes) hold.
 type AnytimePoint struct {
 	X     int64     `json:"x"`
 	Stats sim.Stats `json:"stats"`
@@ -33,14 +34,11 @@ type AnytimePoint struct {
 	Stopped bool `json:"stopped,omitempty"`
 }
 
-// Complete reports whether the point needs no further trials: every
-// planned trial folded, or the stop rule fired.
-func (pt *AnytimePoint) Complete() bool { return pt.TrialsPlanned == 0 || pt.Stopped }
-
-// AnytimeMerged is the prefix-valid merge document: a Merged that
-// additionally says how much of each point is in. With every cell
-// present and no stop rule, it marshals byte-identically to Merged —
-// the anytime path degrades to exactly today's artifact.
+// AnytimeMerged is the merge document: the single-process sweep
+// result {schema, sweep, points} that additionally says how much of
+// each point is in. With every cell present and no stop rule, it
+// marshals byte-identically to that result — the anytime path
+// degrades to exactly the strict merge's artifact.
 type AnytimeMerged struct {
 	Schema int       `json:"schema"`
 	Sweep  SweepSpec `json:"sweep"`
@@ -104,7 +102,8 @@ func CollectPartial(arts []*Artifact, cells []*CellArtifact) (SweepSpec, []Parti
 // satisfying boundary, the reported document is a pure function of
 // (spec, available cell set, rule): two hosts merging the same cells
 // agree byte for byte, and with every cell present and no rule the
-// output marshals byte-identically to Merge's.
+// output marshals byte-identically to the single-process Sweep
+// document. Merge is this fold plus a complete-tiling check.
 //
 // Exact duplicate cells (same size and range) are tolerated when
 // their statistics agree bit for bit (the same cell computed twice by
@@ -196,49 +195,46 @@ func MergePartial(sw SweepSpec, points []PartialPoint, rule sim.StopRule) (*Anyt
 // The checksum is over the canonical form, so the compact line and
 // the indented on-disk cell document of the same cell verify against
 // the same sum.
-func SealCellLine(ca *CellArtifact) ([]byte, error) {
-	ca.Checksum = ""
-	data, err := json.Marshal(ca)
-	if err != nil {
-		return nil, err
-	}
-	sum, err := ChecksumOf(data)
-	if err != nil {
-		return nil, err
-	}
-	ca.Checksum = sum
-	return json.Marshal(ca)
-}
+func SealCellLine(ca *CellArtifact) ([]byte, error) { return seal(ca, json.Marshal) }
 
-// DecodeCellLine verifies and decodes one streamed delta line: the
-// checksum must match, the schema must be known, and the statistics
-// must cover the claimed trial range. It is the replay client's (and
-// the stream tests') validity check for every delta.
-func DecodeCellLine(data []byte) (*CellArtifact, error) {
-	if _, err := verifyDoc(data, "delta"); err != nil {
+// decodeCell is the one cell-document decoder: it verifies the
+// content checksum, decodes, checks the schema, and requires a valid
+// trial range whose statistics cover it exactly. origin names the
+// source in errors. Corruption (unparseable, checksum-mismatched or
+// internally inconsistent) comes back as *corruptError; an unknown
+// schema stays a plain error, since it signals a build mismatch
+// rather than damage.
+func decodeCell(data []byte, origin string) (*CellArtifact, error) {
+	if _, err := verifyDoc(data, origin); err != nil {
 		return nil, err
 	}
 	var ca CellArtifact
 	if err := json.Unmarshal(data, &ca); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("delta: %v", err)}
+		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", origin, err)}
 	}
 	if ca.Schema != ArtifactSchema {
-		return nil, fmt.Errorf("delta: cell schema %d, this build understands %d", ca.Schema, ArtifactSchema)
+		return nil, fmt.Errorf("%s: cell schema %d, this build understands %d", origin, ca.Schema, ArtifactSchema)
 	}
 	c := ca.Cell
 	if c.TrialLo < 0 || c.TrialHi <= c.TrialLo {
-		return nil, &corruptError{reason: fmt.Sprintf("delta: invalid trial range [%d,%d)", c.TrialLo, c.TrialHi)}
+		return nil, &corruptError{reason: fmt.Sprintf("%s: invalid trial range [%d,%d)", origin, c.TrialLo, c.TrialHi)}
 	}
 	if ca.Stats.Trials != c.TrialHi-c.TrialLo {
-		return nil, &corruptError{reason: fmt.Sprintf("delta: cell claims trials [%d,%d) but its stats aggregate %d trials",
-			c.TrialLo, c.TrialHi, ca.Stats.Trials)}
+		return nil, &corruptError{reason: fmt.Sprintf("%s: cell claims trials [%d,%d) but its stats aggregate %d trials",
+			origin, c.TrialLo, c.TrialHi, ca.Stats.Trials)}
 	}
 	return &ca, nil
 }
 
+// DecodeCellLine verifies and decodes one streamed delta line (see
+// decodeCell). It is the replay client's (and the stream tests')
+// validity check for every delta.
+func DecodeCellLine(data []byte) (*CellArtifact, error) {
+	return decodeCell(data, "delta")
+}
+
 // ReadCellFile loads one cell-*.json partial on its own, outside the
-// resumable runner: checksum verified, schema checked, statistics
-// consistent with the claimed range. Unlike the runner's loader it
+// resumable runner, through decodeCell. Unlike the runner's loader it
 // does not compare against a plan — CollectPartial/MergePartial do
 // the cross-source sweep checks.
 func ReadCellFile(path string) (*CellArtifact, error) {
@@ -246,21 +242,7 @@ func ReadCellFile(path string) (*CellArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := verifyDoc(data, path); err != nil {
-		return nil, err
-	}
-	var ca CellArtifact
-	if err := json.Unmarshal(data, &ca); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", path, err)}
-	}
-	if ca.Schema != ArtifactSchema {
-		return nil, fmt.Errorf("%s: cell schema %d, this build understands %d", path, ca.Schema, ArtifactSchema)
-	}
-	if ca.Stats.Trials != ca.Cell.TrialHi-ca.Cell.TrialLo {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: cell claims trials [%d,%d) but its stats aggregate %d trials",
-			path, ca.Cell.TrialLo, ca.Cell.TrialHi, ca.Stats.Trials)}
-	}
-	return &ca, nil
+	return decodeCell(data, path)
 }
 
 // ScanPartialDir gathers the merge inputs living under one queue or

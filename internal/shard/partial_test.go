@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/sim"
 )
 
@@ -166,13 +167,13 @@ func TestMergePartialRandomSubsets(t *testing.T) {
 	}
 }
 
-// The full-completion invariant, the tentpole's headline property:
-// MergePartial over the complete cell set marshals byte-identically to
-// Merge's document, for every shard cut — and the bytes agree across
-// cuts, because block dicing makes the cell grid cut-independent.
+// The full-completion invariant: MergePartial over the complete cell
+// set marshals byte-identically to the single-process Sweep document,
+// for every shard cut, because block dicing makes the cell grid
+// cut-independent and the accumulators merge exactly.
 func TestMergePartialFullSetByteIdentical(t *testing.T) {
 	sw := testSpec()
-	var first []byte
+	want := baselineMergedBytes(t, sw)
 	for _, cut := range []int{1, 2, 4, 7} {
 		m, err := PlanCostBlock(sw, cut, DefaultCost(sw.Scheduler), 2)
 		if err != nil {
@@ -186,10 +187,6 @@ func TestMergePartialFullSetByteIdentical(t *testing.T) {
 			}
 			arts = append(arts, a)
 		}
-		merged, err := Merge(arts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		wsw, pts, err := CollectPartial(arts, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -198,21 +195,12 @@ func TestMergePartialFullSetByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.MarshalIndent(merged, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := json.MarshalIndent(anytime, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("cut %d: MergePartial over all cells differs from Merge:\n%s\nvs\n%s", cut, got, want)
-		}
-		if first == nil {
-			first = got
-		} else if !bytes.Equal(got, first) {
-			t.Fatalf("cut %d: merged bytes differ from cut 1", cut)
+			t.Fatalf("cut %d: MergePartial over all cells differs from the single-process sweep:\n%s\nvs\n%s", cut, got, want)
 		}
 	}
 }
@@ -389,14 +377,14 @@ func TestScanPartialDir(t *testing.T) {
 	}
 	dir := t.TempDir()
 	// Shard s000 finishes (part file); s001 leaves loose cells.
-	a0, _, err := RunResumable(context.Background(), m, "s000", 0, PartialsDir(dir))
+	a0, _, err := RunResumable(context.Background(), m, "s000", 0, PartialsDir(dir), sim.StopRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteArtifact(DonePath(dir, "s000"), a0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunResumable(context.Background(), m, "s001", 0, PartialsDir(dir)); err != nil {
+	if _, _, err := RunResumable(context.Background(), m, "s001", 0, PartialsDir(dir), sim.StopRule{}); err != nil {
 		t.Fatal(err)
 	}
 	arts, cells, err := ScanPartialDir(dir)
@@ -420,7 +408,7 @@ func TestScanPartialDir(t *testing.T) {
 	// A torn cell file fails the scan loudly.
 	spec, _ := m.Shard("s001")
 	poison := fmt.Sprintf("%s/%s", PartialsDir(dir), cellFileName(spec.Cells[0]))
-	if err := WriteFileAtomic(poison, []byte("{torn")); err != nil {
+	if err := faultfs.AtomicWrite(faultfs.OS(), poison, []byte("{torn")); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ScanPartialDir(dir); err == nil {

@@ -2,14 +2,12 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"sort"
 
-	"repro/internal/faultfs"
 	"repro/internal/hostmeta"
 	"repro/internal/sim"
 )
@@ -42,48 +40,19 @@ func cellFileName(c Cell) string {
 	return fmt.Sprintf("cell-x%d-t%d-%d.json", c.X, c.TrialLo, c.TrialHi)
 }
 
-// WriteFileAtomic writes data to path via a uniquely named temp file
-// in the same directory and an atomic rename, so concurrent readers
-// (and merge/resume scans) never observe a torn file and a killed
-// writer leaves no partial document behind — at worst a stray .tmp.
-// The temp file and the directory are fsynced before and after the
-// rename: a host crash after WriteFileAtomic returns cannot surface
-// an empty or torn document on ext4/NFS.
-func WriteFileAtomic(path string, data []byte) error {
-	return faultfs.AtomicWrite(faultfs.OS(), path, data)
-}
-
-// writeJSONAtomic marshals v (indented, trailing newline, the
-// repo-wide artifact convention) and writes it atomically. Documents
-// that carry a checksum field should go through writeSealedRetry
-// instead so the checksum is stamped.
-func writeJSONAtomic(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, append(data, '\n'))
-}
-
-// parseCell integrity-checks and decodes one cell partial document.
-// Corruption — unparseable JSON, checksum mismatch, a cell that is
-// not the one the file name promises, stats that do not cover the
-// claimed trial range — comes back as *corruptError, telling the
-// caller to quarantine and recompute (always safe: cells are pure
-// functions of the sweep spec). A partial from a different sweep or
-// an unknown schema stays a loud error: recomputing would mask an
-// operator mixup (two plans sharing a partials dir) or a build
-// mismatch until merge time or beyond.
+// parseCell decodes one cell partial the runner found at path and
+// checks it against the plan. Corruption — anything decodeCell
+// rejects as corrupt, or a cell that is not the one the file name
+// promises — comes back as *corruptError, telling the caller to
+// quarantine and recompute (always safe: cells are pure functions of
+// the sweep spec). A partial from a different sweep or an unknown
+// schema stays a loud error: recomputing would mask an operator mixup
+// (two plans sharing a partials dir) or a build mismatch until merge
+// time or beyond.
 func parseCell(data []byte, path string, sw SweepSpec, want Cell) (*CellArtifact, error) {
-	if _, err := verifyDoc(data, path); err != nil {
+	ca, err := decodeCell(data, path)
+	if err != nil {
 		return nil, err
-	}
-	var ca CellArtifact
-	if err := json.Unmarshal(data, &ca); err != nil {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: %v", path, err)}
-	}
-	if ca.Schema != ArtifactSchema {
-		return nil, fmt.Errorf("%s: cell schema %d, this build understands %d", path, ca.Schema, ArtifactSchema)
 	}
 	if !reflect.DeepEqual(ca.Sweep, sw) {
 		return nil, fmt.Errorf("%s: cell belongs to a different sweep (partials dir shared between plans?)", path)
@@ -91,11 +60,7 @@ func parseCell(data []byte, path string, sw SweepSpec, want Cell) (*CellArtifact
 	if ca.Cell != want {
 		return nil, &corruptError{reason: fmt.Sprintf("%s: cell is %+v, file name promises %+v", path, ca.Cell, want)}
 	}
-	if ca.Stats.Trials != want.TrialHi-want.TrialLo {
-		return nil, &corruptError{reason: fmt.Sprintf("%s: cell claims trials [%d,%d) but its stats aggregate %d trials",
-			path, want.TrialLo, want.TrialHi, ca.Stats.Trials)}
-	}
-	return &ca, nil
+	return ca, nil
 }
 
 // RunResumable is Run with per-cell persistence in dir: cells whose
@@ -111,30 +76,24 @@ func parseCell(data []byte, path string, sw SweepSpec, want Cell) (*CellArtifact
 // persistence granularity really is one cell; the grouped multi-size
 // parallelism of Run is traded away for it.
 //
+// rule is the anytime sequential-stopping rule; the zero rule runs
+// every cell. Under an enabled rule, before computing a cell the
+// runner asks MergePartial whether the point's gap-free prefix in the
+// partials directory (cells other shards persisted count too) already
+// stops at an earlier boundary, and skips the cell if so — purely an
+// optimization: MergePartial truncates at the same canonical boundary
+// whether or not the post-stop cells exist, so racing workers that
+// compute a few extra cells never change the reported document.
+//
 // Positional seeds make resumed and fresh cells bit-identical, so the
 // assembled Artifact carries exactly the Points of an uninterrupted
 // Run (the Host stamp is the finishing process's). The returned
-// Counters report loaded/computed cells, quarantines and transient
-// retries.
-func RunResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string) (*Artifact, Counters, error) {
-	return RunResumableStop(ctx, m, shardID, workers, dir, sim.StopRule{}, nil)
-}
-
-// RunResumableStop is RunResumable with the anytime extensions: an
-// optional stop rule and an optional streaming sink. Before computing
-// a cell, the runner folds the point's gap-free prefix from the
-// partials directory (cells other shards persisted count too) and
-// skips the cell when the rule is already satisfied at an earlier
-// boundary — the skip is purely an optimization: MergePartial
-// truncates at the same canonical boundary whether or not the
-// post-stop cells exist, so racing workers that compute a few extra
-// cells never change the reported document. sink (may be nil) fires
-// once per cell the shard contributes, loaded or computed, in
-// execution order.
-func RunResumableStop(ctx context.Context, m *Manifest, shardID string, workers int, dir string, rule sim.StopRule, sink sim.CellSink) (*Artifact, Counters, error) {
+// Counters report loaded/computed/stopped cells, quarantines and
+// transient retries.
+func RunResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string, rule sim.StopRule) (*Artifact, Counters, error) {
 	var c Counters
 	env := newQueueEnv(nil, 0, 0, &c)
-	art, err := runResumable(ctx, m, shardID, workers, dir, 0, env, rule, sink)
+	art, err := runResumable(ctx, m, shardID, workers, dir, 0, env, rule)
 	return art, c, err
 }
 
@@ -144,11 +103,8 @@ func RunResumableStop(ctx context.Context, m *Manifest, shardID string, workers 
 // drill: the runner returns errInjectedFailure after persisting that
 // many fresh cells, leaving the partials exactly as a killed process
 // would.
-func runResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string, failAfter int, env *queueEnv, rule sim.StopRule, sink sim.CellSink) (*Artifact, error) {
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("shard: manifest schema %d, this build understands %d", m.Schema, ManifestSchema)
-	}
-	spec, err := m.Shard(shardID)
+func runResumable(ctx context.Context, m *Manifest, shardID string, workers int, dir string, failAfter int, env *queueEnv, rule sim.StopRule) (*Artifact, error) {
+	art, sweep, err := prepare(m, shardID, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -157,23 +113,7 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 	}); err != nil {
 		return nil, err
 	}
-	sw := m.Sweep
-	p, n, err := sw.Build()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := sw.Options(workers)
-	if err != nil {
-		return nil, err
-	}
-	expected := func(x int64) bool { return x >= n }
-
-	art := &Artifact{
-		Schema: ArtifactSchema,
-		Sweep:  sw,
-		Shard:  *spec,
-		Host:   hostmeta.Collect(),
-	}
+	sw, spec := m.Sweep, &art.Shard
 	// Prefix context for sequential stopping: the full per-size cell
 	// grid (all shards, trial order) and the stats this run has seen,
 	// keyed by cell. Other shards' cells are read from the partials
@@ -193,14 +133,11 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 			sortCellsByTrialLo(cs)
 		}
 	}
-	emit := func(c Cell, st sim.Stats) {
+	record := func(c Cell, st sim.Stats) {
 		known[c] = st
 		art.Points = append(art.Points, PartialPoint{
 			X: c.X, TrialLo: c.TrialLo, TrialHi: c.TrialHi, Stats: st,
 		})
-		if sink != nil {
-			sink(c.X, c.TrialLo, c.TrialHi, st)
-		}
 	}
 	fresh := 0
 	for _, c := range spec.Cells {
@@ -214,7 +151,7 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 			var corrupt *corruptError
 			switch {
 			case perr == nil:
-				emit(c, ca.Stats)
+				record(c, ca.Stats)
 				env.counters.CellsLoaded++
 				continue
 			case errors.As(perr, &corrupt):
@@ -230,7 +167,7 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 			env.counters.CellsStopped++
 			continue
 		}
-		points, err := sim.SweepRange(ctx, p, sw.InputState, []int64{c.X}, expected, c.TrialLo, c.TrialHi, opts)
+		points, err := sweep(ctx, []int64{c.X}, c.TrialLo, c.TrialHi)
 		if err != nil {
 			return nil, fmt.Errorf("shard %s cell x=%d trials [%d,%d): %w", shardID, c.X, c.TrialLo, c.TrialHi, err)
 		}
@@ -238,7 +175,7 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 		if err := env.writeSealedRetry(ctx, path, &ca); err != nil {
 			return nil, err
 		}
-		emit(c, points[0].Stats)
+		record(c, points[0].Stats)
 		env.counters.CellsComputed++
 		fresh++
 		if failAfter > 0 && fresh >= failAfter {
@@ -248,51 +185,51 @@ func runResumable(ctx context.Context, m *Manifest, shardID string, workers int,
 	return art, nil
 }
 
-// sortCellsByTrialLo orders one size's cells in trial order, the fold
-// order both the stopping fold here and MergePartial use.
+// sortCellsByTrialLo orders one size's cells in trial order, the
+// order MergePartial folds them in.
 func sortCellsByTrialLo(cs []Cell) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].TrialLo < cs[j].TrialLo })
 }
 
 // prefixSatisfied reports whether the stop rule is already satisfied
-// at some cell boundary strictly before c.TrialLo, folding the
-// point's gap-free prefix [0, c.TrialLo) from cells this run already
-// holds (known) or other shards persisted in dir. Any hole in the
-// prefix — a cell not yet computed, unreadable, or corrupt — aborts
-// the fold and reports false: computing a post-stop cell is always
-// safe (MergePartial truncates at the canonical boundary), whereas
-// skipping on incomplete evidence could stall a sweep. Quarantining
-// an observed-corrupt prefix cell is left to the shard that owns it.
+// at some cell boundary strictly before c.TrialLo. It gathers the
+// point's cells below c — held by this run (known) or persisted by
+// other shards in dir — up to the first one it cannot read, and asks
+// MergePartial whether that prefix stops. A hole (a cell not yet
+// computed, unreadable, or corrupt) ends the gathering: computing a
+// post-stop cell is always safe (MergePartial truncates at the
+// canonical boundary), whereas skipping on incomplete evidence could
+// stall a sweep. Quarantining an observed-corrupt prefix cell is left
+// to the shard that owns it.
 func prefixSatisfied(ctx context.Context, env *queueEnv, dir string, sw SweepSpec, gridX []Cell, c Cell, known map[Cell]sim.Stats, rule sim.StopRule) bool {
-	if c.TrialLo == 0 {
-		return false
-	}
-	var prefix sim.Stats
-	next := 0
+	var prefix []PartialPoint
 	for _, pc := range gridX {
-		if pc.TrialLo != next || pc.TrialHi > c.TrialLo {
-			return false // gap, or the grid never tiles [0, c.TrialLo)
+		if pc.TrialHi > c.TrialLo {
+			break
 		}
 		st, ok := known[pc]
 		if !ok {
-			data, err := env.readRetry(ctx, dir+"/"+cellFileName(pc))
+			path := filepath.Join(dir, cellFileName(pc))
+			data, err := env.readRetry(ctx, path)
 			if err != nil || data == nil {
-				return false
+				break
 			}
-			ca, perr := parseCell(data, dir+"/"+cellFileName(pc), sw, pc)
-			if perr != nil {
-				return false
+			ca, err := parseCell(data, path, sw, pc)
+			if err != nil {
+				break
 			}
 			st = ca.Stats
 			known[pc] = st
 		}
-		prefix.Merge(st)
-		if rule.Satisfied(&prefix) {
-			return true
-		}
-		next = pc.TrialHi
-		if next >= c.TrialLo {
-			return false
+		prefix = append(prefix, PartialPoint{X: pc.X, TrialLo: pc.TrialLo, TrialHi: pc.TrialHi, Stats: st})
+	}
+	merged, err := MergePartial(sw, prefix, rule)
+	if err != nil {
+		return false
+	}
+	for _, pt := range merged.Points {
+		if pt.X == c.X {
+			return pt.Stopped
 		}
 	}
 	return false

@@ -10,8 +10,20 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/sim"
 )
+
+// writeJSONAtomic marshals v (indented, trailing newline, the
+// repo-wide artifact convention) and writes it atomically without a
+// checksum: tests use it to plant unsealed or tampered documents.
+func writeJSONAtomic(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return faultfs.AtomicWrite(faultfs.OS(), path, append(data, '\n'))
+}
 
 // A full resumable run with a cold partials dir must produce exactly
 // the Points of the plain runner, and leave one sealed partial per
@@ -26,7 +38,7 @@ func TestRunResumableMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir, sim.StopRule{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +91,7 @@ func TestRunResumableKillResume(t *testing.T) {
 	dir := t.TempDir()
 	var kc Counters
 	kenv := newQueueEnv(nil, 0, 0, &kc)
-	if _, err := runResumable(context.Background(), m, "s000", 0, dir, 2, kenv, sim.StopRule{}, nil); !errors.Is(err, errInjectedFailure) {
+	if _, err := runResumable(context.Background(), m, "s000", 0, dir, 2, kenv, sim.StopRule{}); !errors.Is(err, errInjectedFailure) {
 		t.Fatalf("injected failure not reported: %v", err)
 	}
 	entries, _ := os.ReadDir(dir)
@@ -94,7 +106,7 @@ func TestRunResumableKillResume(t *testing.T) {
 	if err := os.WriteFile(poison, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resumed, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+	resumed, counters, err := RunResumable(context.Background(), m, "s000", 0, dir, sim.StopRule{})
 	if err != nil {
 		t.Fatalf("resume over corrupt partial must recover, got %v", err)
 	}
@@ -131,7 +143,7 @@ func TestRunResumableRejectsForeignPartials(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, _, err := RunResumable(context.Background(), m, "s000", 0, dir); err != nil {
+	if _, _, err := RunResumable(context.Background(), m, "s000", 0, dir, sim.StopRule{}); err != nil {
 		t.Fatal(err)
 	}
 	other := sw
@@ -140,7 +152,7 @@ func TestRunResumableRejectsForeignPartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunResumable(context.Background(), m2, "s000", 0, dir); err == nil {
+	if _, _, err := RunResumable(context.Background(), m2, "s000", 0, dir, sim.StopRule{}); err == nil {
 		t.Error("partials of a different sweep accepted")
 	}
 }
@@ -157,7 +169,7 @@ func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		baseline, _, err := RunResumable(context.Background(), m, "s000", 0, dir)
+		baseline, _, err := RunResumable(context.Background(), m, "s000", 0, dir, sim.StopRule{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +190,7 @@ func TestRunResumableQuarantinesTamperedPartial(t *testing.T) {
 		if err := writeJSONAtomic(path, &ca); err != nil {
 			t.Fatal(err)
 		}
-		res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir)
+		res, counters, err := RunResumable(context.Background(), m, "s000", 0, dir, sim.StopRule{})
 		if err != nil {
 			t.Fatalf("strip=%v: tampered partial must be quarantined and recomputed, got %v", strip, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"log"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultfs"
@@ -24,25 +25,22 @@ var ErrQueueIO = errors.New("shard: queue I/O failed after retries")
 // queueEnv bundles what every queue-directory touch needs: the
 // (injectable) filesystem seam, the transient-retry policy, and the
 // degradation counters. One env serves one Dispatch or RunResumable
-// call; counters are only touched from its goroutine.
+// call; the retrier and counters are only touched from its goroutine
+// (the dispatcher's heartbeat writes through fsys directly).
 type queueEnv struct {
 	fsys     faultfs.FS
-	attempts int           // total tries per operation, >= 1
-	base     time.Duration // first backoff; doubles up to cap
-	cap      time.Duration
-	rng      uint64 // splitmix64 state for jitter
+	retrier  faultfs.Retrier
+	retries  atomic.Int64 // the retrier's Count; mirrored into counters
 	counters *Counters
 }
 
+// newQueueEnv builds an env over fsys (nil = the real OS). attempts
+// and base default inside the Retrier (5 tries, 20ms). The jitter seed
+// comes from crypto/rand so a fleet of dispatchers sharing one
+// directory decorrelates its backoff.
 func newQueueEnv(fsys faultfs.FS, attempts int, base time.Duration, c *Counters) *queueEnv {
 	if fsys == nil {
 		fsys = faultfs.OS()
-	}
-	if attempts <= 0 {
-		attempts = 5
-	}
-	if base <= 0 {
-		base = 20 * time.Millisecond
 	}
 	if c == nil {
 		c = &Counters{}
@@ -51,71 +49,26 @@ func newQueueEnv(fsys faultfs.FS, attempts int, base time.Duration, c *Counters)
 	if _, err := rand.Read(seed[:]); err != nil {
 		panic(err) // crypto/rand failure is unrecoverable
 	}
-	return &queueEnv{
-		fsys:     fsys,
-		attempts: attempts,
-		base:     base,
-		cap:      1024 * base,
-		rng:      binary.LittleEndian.Uint64(seed[:]),
-		counters: c,
+	e := &queueEnv{fsys: fsys, counters: c}
+	e.retrier = faultfs.Retrier{
+		Attempts: attempts,
+		Base:     base,
+		Seed:     binary.LittleEndian.Uint64(seed[:]),
+		Count:    &e.retries,
 	}
+	return e
 }
 
-func (e *queueEnv) splitmix() uint64 {
-	e.rng += 0x9e3779b97f4a7c15
-	z := e.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4b5b9
-	z = (z ^ (z >> 27)) * 0x94d35a2d9c2c2a49
-	return z ^ (z >> 31)
-}
-
-// jitter draws a full-jitter delay: uniform in [0, d), floored at 1ms
-// so exhausted-entropy draws cannot busy-spin.
-func (e *queueEnv) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return time.Millisecond
-	}
-	j := time.Duration(e.splitmix() % uint64(d))
-	if j < time.Millisecond {
-		j = time.Millisecond
-	}
-	return j
-}
-
-// sleep waits for d or until ctx is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// retry runs f, absorbing transient errors (faultfs.Transient) with
-// exponential backoff plus full jitter, up to the attempt budget.
-// Permanent errors return immediately; an exhausted budget returns
-// the last error wrapped in ErrQueueIO.
+// retry runs f under the env's Retrier. Permanent errors return
+// immediately; an exhausted budget surfaces as ErrQueueIO, and every
+// absorbed transient error is counted in Counters.Retries.
 func (e *queueEnv) retry(ctx context.Context, op string, f func() error) error {
-	delay := e.base
-	for attempt := 1; ; attempt++ {
-		err := f()
-		if err == nil || !faultfs.Transient(err) {
-			return err
-		}
-		if attempt >= e.attempts {
-			return fmt.Errorf("%w: %s: %w", ErrQueueIO, op, err)
-		}
-		e.counters.Retries++
-		if serr := sleepCtx(ctx, e.jitter(delay)); serr != nil {
-			return serr
-		}
-		if delay < e.cap {
-			delay *= 2
-		}
+	err := e.retrier.Do(ctx, op, f)
+	e.counters.Retries = int(e.retries.Load())
+	if errors.Is(err, faultfs.ErrRetryExhausted) {
+		return fmt.Errorf("%w: %w", ErrQueueIO, err)
 	}
+	return err
 }
 
 // writeSealedRetry seals v and publishes it atomically, retrying
@@ -140,9 +93,8 @@ func (e *queueEnv) readRetry(ctx context.Context, path string) ([]byte, error) {
 	err := e.retry(ctx, "read "+filepath.Base(path), func() error {
 		var rerr error
 		data, rerr = e.fsys.ReadFile(path)
-		if rerr != nil && errors.Is(rerr, fs.ErrNotExist) {
-			data = nil
-			return nil
+		if errors.Is(rerr, fs.ErrNotExist) {
+			data, rerr = nil, nil
 		}
 		return rerr
 	})
@@ -157,12 +109,8 @@ func (e *queueEnv) existsRetry(ctx context.Context, path string) (bool, error) {
 	var found bool
 	err := e.retry(ctx, "stat "+filepath.Base(path), func() error {
 		_, serr := e.fsys.Stat(path)
-		if serr == nil {
-			found = true
-			return nil
-		}
+		found = serr == nil
 		if errors.Is(serr, fs.ErrNotExist) {
-			found = false
 			return nil
 		}
 		return serr

@@ -41,30 +41,11 @@ type Artifact struct {
 // call, so a shard covering several whole sizes gets the sweep
 // engine's two-level point/trial parallelism.
 func Run(ctx context.Context, m *Manifest, shardID string, workers int) (*Artifact, error) {
-	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("shard: manifest schema %d, this build understands %d", m.Schema, ManifestSchema)
-	}
-	spec, err := m.Shard(shardID)
+	art, sweep, err := prepare(m, shardID, workers)
 	if err != nil {
 		return nil, err
 	}
-	sw := m.Sweep
-	p, n, err := sw.Build()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := sw.Options(workers)
-	if err != nil {
-		return nil, err
-	}
-	expected := func(x int64) bool { return x >= n }
-
-	art := &Artifact{
-		Schema: ArtifactSchema,
-		Sweep:  sw,
-		Shard:  *spec,
-		Host:   hostmeta.Collect(),
-	}
+	spec := &art.Shard
 	for g := 0; g < len(spec.Cells); {
 		// Group consecutive cells with the same trial range.
 		h := g + 1
@@ -78,7 +59,7 @@ func Run(ctx context.Context, m *Manifest, shardID string, workers int) (*Artifa
 			xs = append(xs, c.X)
 		}
 		lo, hi := spec.Cells[g].TrialLo, spec.Cells[g].TrialHi
-		points, err := sim.SweepRange(ctx, p, sw.InputState, xs, expected, lo, hi, opts)
+		points, err := sweep(ctx, xs, lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("shard %s trials [%d,%d): %w", shardID, lo, hi, err)
 		}
@@ -90,4 +71,31 @@ func Run(ctx context.Context, m *Manifest, shardID string, workers int) (*Artifa
 		g = h
 	}
 	return art, nil
+}
+
+// prepare checks the manifest schema and resolves the shard. It
+// returns the artifact to fill and a runner for trial ranges of the
+// sweep's sizes: the setup Run and RunResumable share.
+func prepare(m *Manifest, shardID string, workers int) (*Artifact, func(ctx context.Context, xs []int64, lo, hi int) ([]sim.SweepPoint, error), error) {
+	if m.Schema != ManifestSchema {
+		return nil, nil, fmt.Errorf("shard: manifest schema %d, this build understands %d", m.Schema, ManifestSchema)
+	}
+	spec, err := m.Shard(shardID)
+	if err != nil {
+		return nil, nil, err
+	}
+	sw := m.Sweep
+	p, n, err := sw.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	opts, err := sw.Options(workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	expected := func(x int64) bool { return x >= n }
+	sweep := func(ctx context.Context, xs []int64, lo, hi int) ([]sim.SweepPoint, error) {
+		return sim.SweepRange(ctx, p, sw.InputState, xs, expected, lo, hi, opts)
+	}
+	return &Artifact{Schema: ArtifactSchema, Sweep: sw, Shard: *spec, Host: hostmeta.Collect()}, sweep, nil
 }

@@ -3,8 +3,8 @@
 // (protocol × population sizes × trial blocks) into self-contained
 // shard specs any process on any machine can execute, Run executes one
 // shard on the sim engine and emits a partial-result artifact, and
-// Merge folds any set of partial artifacts back into exactly the
-// Stats/SweepPoints a single-process run would have produced.
+// Merge folds a complete set of partial artifacts back into exactly
+// the Stats/SweepPoints a single-process run would have produced.
 //
 // The exactness contract rests on two invariants:
 //
@@ -35,11 +35,11 @@
 // a document that fails its checksum — torn write, bit rot, stray
 // editor — is moved to a corrupt/ quarantine beside a .reason file
 // and its work recomputed, never silently merged and never re-read
-// in a loop. (The final Merged output deliberately has no checksum,
+// in a loop. (The final merged output deliberately has no checksum,
 // so byte-diffing merged files across runs stays meaningful.) Queue
 // I/O retries transient errors (the ESTALE/EINTR family) with
-// exponential backoff and full jitter before giving up with
-// ErrQueueIO, and lease liveness is judged by each observer's own
+// exponential backoff and full jitter (the shared faultfs.Retrier)
+// before giving up with ErrQueueIO, and lease liveness is judged by each observer's own
 // clock watching the lease's monotonic heartbeat sequence — never by
 // comparing wall-clock stamps across hosts — so clock skew can
 // neither rob a live owner nor keep a dead one's lease. All I/O goes
@@ -52,7 +52,8 @@
 // so cells from any cut of the same sweep interoperate. MergePartial
 // folds any subset of shard artifacts and cell partials into a valid
 // document with per-point trials_done/trials_planned completeness;
-// with every cell present its bytes equal the strict Merge's. A
+// with every cell present its bytes equal the strict Merge's, which
+// is the same fold plus a complete-tiling check. A
 // sim.StopRule adds sequential stopping: a size stops once the
 // gap-free prefix of its trials meets the CI target, and the
 // canonical stopping boundary is decided at merge time — MergePartial

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -8,8 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -30,22 +29,11 @@ func testSpec() SweepSpec {
 }
 
 // The headline acceptance property: plan → run shards → merge is
-// bit-identical to the single-process Sweep, for every shard count.
+// byte-identical to the single-process Sweep document, for every
+// shard count.
 func TestMergeMatchesSingleProcessSweep(t *testing.T) {
 	sw := testSpec()
-	p, n, err := sw.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	opts, err := sw.Options(0)
-	if err != nil {
-		t.Fatalf("Options: %v", err)
-	}
-	whole, err := sim.Sweep(context.Background(), p, sw.InputState, sw.Sizes,
-		func(x int64) bool { return x >= n }, sw.Trials, opts)
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
+	whole := baselineMergedBytes(t, sw)
 	for _, shards := range []int{1, 2, 4, 7, 24, 100} {
 		m, err := Plan(sw, shards)
 		if err != nil {
@@ -75,9 +63,13 @@ func TestMergeMatchesSingleProcessSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Merge(%d shards, reverse=%v): %v", shards, reverse, err)
 			}
-			if !reflect.DeepEqual(merged.Points, whole) {
-				t.Errorf("%d shards (reverse=%v): merged points differ from single-process sweep\nmerged: %+v\nwhole:  %+v",
-					shards, reverse, merged.Points, whole)
+			got, err := json.MarshalIndent(merged, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, whole) {
+				t.Errorf("%d shards (reverse=%v): merged document differs from single-process sweep\nmerged: %s\nwhole:  %s",
+					shards, reverse, got, whole)
 			}
 		}
 	}

@@ -2,22 +2,6 @@ package sim
 
 import "fmt"
 
-// CellSink receives one finished cell's aggregated statistics the
-// moment that cell completes: size x, the absolute trial range
-// [trialLo, trialHi) it covers, and the mergeable Stats over exactly
-// those trials. It is the streaming seam of the anytime sweep
-// pipeline — SweepRangeSink calls it once per finished point, the
-// shard runner once per persisted cell, and ppserve forwards each
-// call as one NDJSON delta line.
-//
-// Sinks may be called from multiple worker goroutines concurrently
-// unless the caller documents otherwise; SweepRangeSink serializes
-// its calls, so a sink passed there needs no locking of its own.
-// The deltas arrive in completion order, which is scheduling-dependent
-// — only the *set* of deltas is deterministic, and folding them
-// through Stats.Merge (associative, commutative) erases the order.
-type CellSink func(x int64, trialLo, trialHi int, stats Stats)
-
 // DefaultMinTrials is the minimum-sample floor a StopRule falls back
 // to when none is given: below it the normal-approximation confidence
 // interval is too unstable to stop on.

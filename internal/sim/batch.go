@@ -40,18 +40,6 @@ func Sweep(ctx context.Context, p *core.Protocol, inputState string, xs []int64,
 // regardless of scheduling. Cancelling ctx stops all workers promptly
 // and returns ctx.Err().
 func SweepRange(ctx context.Context, p *core.Protocol, inputState string, xs []int64, expected func(x int64) bool, trialLo, trialHi int, opts Options) ([]SweepPoint, error) {
-	return SweepRangeSink(ctx, p, inputState, xs, expected, trialLo, trialHi, opts, nil)
-}
-
-// SweepRangeSink is SweepRange with a streaming seam: sink (may be
-// nil) is called once per point the moment that point's trial range
-// completes, with the same (x, trialLo, trialHi, Stats) the returned
-// slice will carry. Calls are serialized by an internal mutex and
-// arrive in completion order — scheduling-dependent, unlike the
-// returned slice, which stays ordered like xs and bit-identical for
-// any worker count. A caller that folds the sunk deltas with
-// Stats.Merge gets the same aggregates either way.
-func SweepRangeSink(ctx context.Context, p *core.Protocol, inputState string, xs []int64, expected func(x int64) bool, trialLo, trialHi int, opts Options, sink CellSink) ([]SweepPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -82,7 +70,6 @@ func SweepRangeSink(ctx context.Context, p *core.Protocol, inputState string, xs
 	done := ctx.Done()
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var sinkMu sync.Mutex
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -104,11 +91,6 @@ func SweepRangeSink(ctx context.Context, p *core.Protocol, inputState string, xs
 					continue
 				}
 				out[idx] = SweepPoint{X: x, Stats: *stats}
-				if sink != nil {
-					sinkMu.Lock()
-					sink(x, trialLo, trialHi, *stats)
-					sinkMu.Unlock()
-				}
 			}
 		}()
 	}

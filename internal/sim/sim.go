@@ -27,14 +27,14 @@
 //     order — equals direct aggregation bit for bit. Means, variance
 //     and confidence intervals are methods computed at render time.
 //
-// On top of those two invariants sits the anytime layer: a CellSink
-// threaded through SweepRangeSink streams each cell's Stats delta the
-// moment it completes (deltas arrive in completion order, but merging
-// them is order-erasing), and a StopRule adds sequential stopping —
-// a point stops accruing trials once its relative confidence interval
-// meets the target, evaluated only on the gap-free prefix of its
-// cells folded in trial order, so the stopping decision is a pure
-// function of (seed, cell grid, rule) and never of scheduling.
+// On top of those two invariants sits the anytime layer: a StopRule
+// adds sequential stopping — a point stops accruing trials once its
+// relative confidence interval meets the target, evaluated only on
+// the gap-free prefix of its cells folded in trial order, so the
+// stopping decision is a pure function of (seed, cell grid, rule) and
+// never of scheduling. Streaming consumers (the ppserve /v1/sweep
+// stream) run one SweepRange per cell and forward each returned
+// point as it lands; merging the deltas is order-erasing.
 package sim
 
 import (
